@@ -29,9 +29,9 @@
 //! parse that dominates completion CPU.
 
 use crate::fault::{Fault, FaultInjector};
+use crate::http::wire::{self, Malformed, Message, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use crate::http::{
-    completion_json, connection_keeps_alive, header_value, render_response, respond, route,
-    BadRequest, Request, ServerConfig, ServerTuning, JSON, MAX_BODY_BYTES, SERVER_IO_TIMEOUT,
+    completion_json, respond, route, ServerConfig, ServerTuning, JSON, SERVER_IO_TIMEOUT,
     SERVER_KEEPALIVE_IDLE,
 };
 use crate::poll::{Poller, WakePair, WAKE_TOKEN};
@@ -47,10 +47,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Header bytes a single request may occupy before parsing gives up; far
-/// above any legitimate request line + headers, far below a memory threat.
-const MAX_HEADER_BYTES: usize = 64 * 1024;
 
 /// How long an epoll-backed poller sleeps with nothing ready; bounds the
 /// latency of idle sweeps and drain checks, not of request handling
@@ -140,7 +136,7 @@ pub(crate) struct Work {
     poller: usize,
     /// Cloned socket handle the worker writes the response to.
     stream: TcpStream,
-    request: Request,
+    request: Message,
     /// `Some` exactly when the request is `POST /v1/completions`.
     parse: Option<CompletionParse>,
     /// When the poller finished parsing; request latency counts queue wait.
@@ -526,13 +522,14 @@ impl PollerThread {
             if conn.busy {
                 return;
             }
-            match try_parse(&mut conn.buf) {
-                Parse::NeedMore => return,
-                Parse::Bad(bad) => {
+            match wire::parse(&conn.buf, wire::Kind::Request) {
+                Ok(None) => return,
+                Err(bad) => {
                     self.fail(token, bad);
                     return;
                 }
-                Parse::Ok(request) => {
+                Ok(Some((request, used))) => {
+                    conn.buf.drain(..used);
                     if conn.served > 0 {
                         self.shared
                             .registry
@@ -543,7 +540,7 @@ impl PollerThread {
                     // cheap, their volume is bounded by the connection
                     // count, and overload is exactly when `/stats` and
                     // `/metrics` must stay answerable.
-                    let sheddable = request.method == "POST";
+                    let sheddable = request.head.method == "POST";
                     let queue_full = sheddable
                         && self.shared.queue.lock().expect("work queue").len()
                             >= self.shared.config.queue_depth;
@@ -568,14 +565,15 @@ impl PollerThread {
     /// connection can stay open when the client asked for keep-alive — a
     /// retrying client rides the same socket instead of reconnecting.
     /// Returns whether the connection survived.
-    fn shed(&mut self, token: u64, request: &Request) -> bool {
+    fn shed(&mut self, token: u64, request: &Message) -> bool {
         let registry = &self.shared.registry;
         registry.counter("server.shed_total").inc();
         registry.counter("llm.status_429").inc();
         self.shared.windowed.counter("server.shed_total").inc();
-        let keep = request.keep_alive && !self.draining;
+        let keep = request.head.keep_alive && !self.draining;
         let body = r#"{"error":"server overloaded, retry later"}"#;
-        let raw = render_response(429, body, JSON, keep, Some(self.shared.config.retry_after));
+        let raw =
+            wire::render_response(429, body, JSON, keep, Some(self.shared.config.retry_after));
         let conn = self.conns.get_mut(&token).expect("shed target");
         let ok = write_now(&conn.stream, raw.as_bytes());
         if keep && ok {
@@ -590,14 +588,14 @@ impl PollerThread {
 
     /// Responds to an unreadable request and closes the connection,
     /// mirroring the old blocking runtime's counters and bodies.
-    fn fail(&mut self, token: u64, bad: BadRequest) {
+    fn fail(&mut self, token: u64, bad: Malformed) {
         let registry = &self.shared.registry;
         registry.counter("server.bad_requests_total").inc();
         registry
             .counter(&format!("llm.status_{}", bad.status))
             .inc();
         let body = Json::object(vec![("error", Json::from(bad.message.as_str()))]).to_compact();
-        let raw = render_response(bad.status, &body, JSON, false, None);
+        let raw = wire::render_response(bad.status, &body, JSON, false, None);
         if let Some(conn) = self.conns.get(&token) {
             // Best-effort: the peer may already be gone.
             write_now(&conn.stream, raw.as_bytes());
@@ -605,7 +603,7 @@ impl PollerThread {
         self.close(token);
     }
 
-    fn dispatch(&mut self, token: u64, request: Request) {
+    fn dispatch(&mut self, token: u64, request: Message) {
         let conn = self.conns.get_mut(&token).expect("dispatch target");
         let Ok(clone) = conn.stream.try_clone() else {
             self.close(token);
@@ -655,7 +653,7 @@ impl PollerThread {
             None if conn.buf.is_empty() => "empty request".to_string(),
             None => "request read failed: connection closed mid-request".to_string(),
         };
-        self.fail(token, BadRequest::new(400, message));
+        self.fail(token, Malformed::new(message));
     }
 
     /// Applies the idle deadlines the blocking runtime enforced with
@@ -684,10 +682,7 @@ impl PollerThread {
             .collect();
         for (token, timed_out) in expired {
             if timed_out {
-                self.fail(
-                    token,
-                    BadRequest::new(400, "request read failed: read timed out"),
-                );
+                self.fail(token, Malformed::new("request read failed: read timed out"));
             } else {
                 self.close(token);
             }
@@ -728,11 +723,11 @@ impl PollerThread {
 /// Classifies a request for the worker side: `Some` for completion POSTs
 /// (with the JSON pre-parsed into the batching key), `None` for everything
 /// `route` handles.
-fn classify(request: &Request, model: &str) -> Option<CompletionParse> {
-    if request.method != "POST" || request.path != "/v1/completions" {
+fn classify(request: &Message, model: &str) -> Option<CompletionParse> {
+    if request.head.method != "POST" || request.head.path != "/v1/completions" {
         return None;
     }
-    Some(match Json::parse(&request.body) {
+    Some(match Json::parse(&request.text()) {
         Err(e) => CompletionParse::BadJson(e.to_string()),
         Ok(json) => {
             let requested = json
@@ -774,117 +769,6 @@ fn parse_gen_options(request: &Json) -> GenOptions {
         }
     }
     opts
-}
-
-/// Result of one incremental parse attempt.
-enum Parse {
-    /// The buffer does not hold a complete request yet.
-    NeedMore,
-    Bad(BadRequest),
-    Ok(Request),
-}
-
-/// Finds the end of the header block: byte offsets (one past the blank
-/// line, start of body). Tolerates bare-LF line endings like the
-/// `read_line`-based parser did.
-fn find_header_end(buf: &[u8]) -> Option<(usize, usize)> {
-    for i in 0..buf.len() {
-        if buf[i] != b'\n' {
-            continue;
-        }
-        if buf.len() > i + 1 && buf[i + 1] == b'\n' {
-            return Some((i + 1, i + 2));
-        }
-        if buf.len() > i + 2 && buf[i + 1] == b'\r' && buf[i + 2] == b'\n' {
-            return Some((i + 1, i + 3));
-        }
-    }
-    None
-}
-
-/// Incrementally parses one HTTP/1.1 request off the front of `buf`,
-/// consuming its bytes only when complete. Header *names* match
-/// case-insensitively while values keep their original bytes
-/// ([`header_value`]), `Connection` is matched token-wise, and duplicate
-/// `Content-Length` headers that disagree are rejected outright — the
-/// request-smuggling-safe reading.
-fn try_parse(buf: &mut Vec<u8>) -> Parse {
-    let Some((head_end, body_start)) = find_header_end(buf) else {
-        if buf.len() > MAX_HEADER_BYTES {
-            return Parse::Bad(BadRequest::new(
-                400,
-                format!("header block exceeds the {MAX_HEADER_BYTES}-byte limit"),
-            ));
-        }
-        return Parse::NeedMore;
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
-    let mut lines = head.split('\n').map(|l| l.trim_end());
-    let request_line = lines.next().unwrap_or("");
-    if request_line.is_empty() {
-        return Parse::Bad(BadRequest::ended("empty request"));
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = false;
-    let mut trace_id: Option<String> = None;
-    let mut parent_span: Option<String> = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(v) = header_value(line, "content-length") {
-            // A Content-Length we cannot parse means we cannot know where
-            // the body ends: reject, never silently assume an empty body.
-            let Ok(parsed) = v.parse::<usize>() else {
-                return Parse::Bad(BadRequest::new(
-                    400,
-                    format!("malformed content-length: `{v}`"),
-                ));
-            };
-            if content_length.is_some_and(|prev| prev != parsed) {
-                return Parse::Bad(BadRequest::new(
-                    400,
-                    "conflicting duplicate content-length headers",
-                ));
-            }
-            content_length = Some(parsed);
-        }
-        if let Some(v) = header_value(line, "connection") {
-            keep_alive = connection_keeps_alive(v);
-        }
-        if let Some(v) = header_value(line, "x-nl2vis-trace-id") {
-            trace_id = Some(v.to_string());
-        }
-        if let Some(v) = header_value(line, "x-nl2vis-parent-span") {
-            parent_span = Some(v.to_string());
-        }
-    }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        // Reject from the untrusted header alone — allocating
-        // `content_length` bytes first would let one request OOM the
-        // server.
-        return Parse::Bad(BadRequest::new(
-            413,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
-        ));
-    }
-    if buf.len() < body_start + content_length {
-        return Parse::NeedMore;
-    }
-    let body = String::from_utf8_lossy(&buf[body_start..body_start + content_length]).to_string();
-    buf.drain(..body_start + content_length);
-    Parse::Ok(Request {
-        method,
-        path,
-        body,
-        keep_alive,
-        trace: obs::TraceContext::from_headers(trace_id.as_deref(), parent_span.as_deref()),
-    })
 }
 
 /// Poller-side response write: flips the (registered, nonblocking) socket
@@ -1029,7 +913,7 @@ fn blocking_respond(
 /// the access log line.
 fn record_request(
     shared: &Shared,
-    request: &Request,
+    request: &Message,
     status: u16,
     body_len: usize,
     received: Instant,
@@ -1053,8 +937,8 @@ fn record_request(
     }
     obs::log("llm", "access", || {
         vec![
-            ("method".to_string(), request.method.clone()),
-            ("path".to_string(), request.path.clone()),
+            ("method".to_string(), request.head.method.clone()),
+            ("path".to_string(), request.head.path.clone()),
             ("status".to_string(), status.to_string()),
             ("bytes".to_string(), body_len.to_string()),
             ("duration_us".to_string(), elapsed.as_micros().to_string()),
@@ -1079,13 +963,13 @@ fn serve_single(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
     // Join the caller's trace when it propagated one; otherwise only
     // completions get a span of their own (tracing every /metrics poll
     // would flood the flight recorder with noise).
-    let span = match request.trace {
+    let span = match request.head.trace {
         Some(ctx) => Some(obs::Span::enter_with("server.handle", ctx)),
         None if is_completion => Some(obs::Span::enter("server.handle")),
         None => None,
     };
     if let Some(span) = &span {
-        span.annotate("path", &request.path);
+        span.annotate("path", &request.head.path);
     }
     let trace = span.as_ref().map(|s| s.trace()).unwrap_or(0);
     let fault = if is_completion {
@@ -1167,9 +1051,8 @@ fn serve_single(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
                 JSON,
             ),
             None => route(
-                &request.method,
-                &request.path,
-                &request.body,
+                &request.head.method,
+                &request.head.path,
                 shared.backend.model(),
                 registry,
                 &shared.windowed,
@@ -1193,7 +1076,7 @@ fn serve_single(shared: &Shared, pollers: &[Arc<PollerShared>], work: Work) {
     // the client reads the body, its side of the trace is consistent.
     drop(span);
 
-    let keep = request.keep_alive && !shared.draining.load(Ordering::Relaxed);
+    let keep = request.head.keep_alive && !shared.draining.load(Ordering::Relaxed);
     let ok = blocking_respond(&mut stream, status, &response_body, content_type, keep);
     finish(pollers, conn, poller, stream, keep && ok);
 }
@@ -1270,11 +1153,11 @@ fn serve_batch(shared: &Shared, pollers: &[Arc<PollerShared>], works: Vec<Work>)
         // Traced requests join their caller's trace; untraced ones nest
         // under the batch span — either way the annotation names the
         // shared batch.
-        let span = match work.request.trace {
+        let span = match work.request.head.trace {
             Some(ctx) => obs::Span::enter_with("server.handle", ctx),
             None => obs::Span::enter("server.handle"),
         };
-        span.annotate("path", &work.request.path);
+        span.annotate("path", &work.request.head.path);
         span.annotate("batch", &batch_trace);
         if fault != Fault::None {
             span.annotate("fault", fault.label());
@@ -1304,7 +1187,7 @@ fn serve_batch(shared: &Shared, pollers: &[Arc<PollerShared>], works: Vec<Work>)
         );
         span.annotate("status", &status.to_string());
         drop(span);
-        let keep = work.request.keep_alive && !shared.draining.load(Ordering::Relaxed);
+        let keep = work.request.head.keep_alive && !shared.draining.load(Ordering::Relaxed);
         let ok = blocking_respond(&mut work.stream, status, &response_body, JSON, keep);
         finish(pollers, work.conn, work.poller, work.stream, keep && ok);
     }

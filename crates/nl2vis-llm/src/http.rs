@@ -6,7 +6,10 @@
 //! [`SimLlm`], and a [`HttpLlmClient`] that speaks the same
 //! `POST /v1/completions` JSON protocol. The rest of the system only sees
 //! the [`crate::client::LlmClient`] trait, so swapping the
-//! simulated backend for a real endpoint is a URL change.
+//! simulated backend for a real endpoint is a URL change. Message framing
+//! lives in [`wire`], the workspace's one HTTP/1.1 codec.
+
+pub mod wire;
 
 use crate::client::{CompletionOutcome, LlmClient, TransportError, TransportErrorKind};
 use crate::event;
@@ -16,18 +19,12 @@ use nl2vis_data::Json;
 use nl2vis_obs as obs;
 use nl2vis_obs::{MetricsRegistry, WindowedRegistry};
 use nl2vis_service::CompletionService;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Largest request/response body either side will buffer. Prompts run to
-/// tens of kilobytes; anything past this is a protocol violation, not a
-/// bigger prompt, and must not translate an untrusted `Content-Length`
-/// header into an allocation.
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// Deadline for a fresh connection to produce a complete request, and for
 /// response writes. A stalled or dead peer is swept (and the response
@@ -94,6 +91,30 @@ impl From<std::io::Error> for HttpError {
                 HttpError::Timeout(e.to_string())
             }
             _ => HttpError::Io(e),
+        }
+    }
+}
+
+impl From<wire::Error> for HttpError {
+    /// The status is authoritative: a 429 whose headers or body got cut
+    /// off still surfaces as [`HttpError::Overloaded`]. A close before the
+    /// first byte is [`HttpError::Closed`]; a close after it is a
+    /// mid-stream connection loss.
+    fn from(e: wire::Error) -> HttpError {
+        if e.status == Some(429) {
+            return HttpError::Overloaded {
+                retry_after: e.retry_after,
+                body: String::new(),
+            };
+        }
+        match e.cause {
+            wire::Cause::Closed if !e.started => HttpError::Closed,
+            wire::Cause::Closed => HttpError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-response",
+            )),
+            wire::Cause::Io(io) => io.into(),
+            wire::Cause::Malformed(bad) => HttpError::Protocol(bad.message),
         }
     }
 }
@@ -465,111 +486,6 @@ impl Drop for CompletionServer {
     }
 }
 
-/// A parsed inbound request.
-pub(crate) struct Request {
-    pub method: String,
-    pub path: String,
-    pub body: String,
-    /// Did the client ask to keep the connection open (`Connection:
-    /// keep-alive`)? Despite HTTP/1.1's persistent-by-default rule, this
-    /// server is close-by-default and only keeps connections the client
-    /// explicitly asked for — raw-socket callers that read to EOF keep
-    /// working, and pooling clients opt in per request.
-    pub keep_alive: bool,
-    /// Trace context imported from `X-Nl2vis-Trace-Id` /
-    /// `X-Nl2vis-Parent-Span` headers, if the client is propagating one —
-    /// the server-side handling span then joins the caller's trace instead
-    /// of starting its own.
-    pub trace: Option<obs::TraceContext>,
-}
-
-/// A request that could not be read: the status and body of the error
-/// response the client deserves before the connection closes.
-pub(crate) struct BadRequest {
-    pub status: u16,
-    pub message: String,
-}
-
-impl BadRequest {
-    pub fn new(status: u16, message: impl Into<String>) -> BadRequest {
-        BadRequest {
-            status,
-            message: message.into(),
-        }
-    }
-
-    pub fn ended(message: impl Into<String>) -> BadRequest {
-        BadRequest::new(400, message)
-    }
-}
-
-/// Extracts a header value from one `Name: value` line when the *name*
-/// matches `name` case-insensitively (RFC 9110 §5.1 — field names are
-/// case-insensitive). The value is returned from the original line,
-/// whitespace-trimmed but otherwise byte-for-byte: header values are NOT
-/// case-insensitive, and folding them (as an earlier lowercase-the-line
-/// parser did) silently corrupts case-sensitive payloads like trace ids.
-pub fn header_value<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let (field, value) = line.split_once(':')?;
-    if field.trim().eq_ignore_ascii_case(name) {
-        Some(value.trim())
-    } else {
-        None
-    }
-}
-
-/// Does a `Connection:` header value ask for keep-alive? The value is a
-/// comma-separated token list (`keep-alive, TE`), so membership is tested
-/// per token, case-insensitively — exact-equality matching would read any
-/// multi-token list as "close". A list naming both tokens closes: `close`
-/// is the stronger directive.
-pub fn connection_keeps_alive(value: &str) -> bool {
-    let mut keep = false;
-    for token in value.split(',') {
-        let token = token.trim();
-        if token.eq_ignore_ascii_case("close") {
-            return false;
-        }
-        if token.eq_ignore_ascii_case("keep-alive") {
-            keep = true;
-        }
-    }
-    keep
-}
-
-/// Serializes one complete response. Kept in one place so the worker
-/// pool, the poller-side shed/error paths, and tests all emit the same
-/// wire bytes.
-pub(crate) fn render_response(
-    status: u16,
-    body: &str,
-    content_type: &str,
-    keep_alive: bool,
-    retry_after: Option<Duration>,
-) -> String {
-    // Fractional seconds in Retry-After are a protocol extension over RFC
-    // 9110 (which allows only whole seconds): local tests and benchmarks
-    // shed with millisecond backoffs, and rounding them up to 1s would
-    // serialize the whole recovery. Our client parses either form.
-    let retry_after = match retry_after {
-        Some(backoff) => format!("Retry-After: {}\r\n", backoff.as_secs_f64()),
-        None => String::new(),
-    };
-    format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry_after}Connection: {}\r\n\r\n{body}",
-        match status {
-            200 => "OK",
-            404 => "Not Found",
-            413 => "Payload Too Large",
-            429 => "Too Many Requests",
-            500 => "Internal Server Error",
-            _ => "Bad Request",
-        },
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
-    )
-}
-
 /// Writes one response, advertising `Connection: keep-alive` or `close` to
 /// match what the serving loop will actually do next. Best-effort by
 /// construction: the caller decides whether a write failure matters.
@@ -583,7 +499,7 @@ pub(crate) fn respond(
     // Serialize the whole response first and send it in one write: header
     // and body as separate writes would let Nagle hold the body back a
     // delayed-ACK round trip on connections without NODELAY.
-    let response = render_response(status, body, content_type, keep_alive, None);
+    let response = wire::render_response(status, body, content_type, keep_alive, None);
     stream.write_all(response.as_bytes())?;
     stream.flush()?;
     Ok(())
@@ -677,7 +593,6 @@ fn stats_json(registry: &MetricsRegistry, windowed: &WindowedRegistry) -> String
 pub(crate) fn route(
     method: &str,
     path: &str,
-    _body: &str,
     model: &str,
     registry: &MetricsRegistry,
     windowed: &WindowedRegistry,
@@ -793,51 +708,6 @@ pub struct HttpLlmClient {
     pool: Option<Mutex<Vec<PooledConn>>>,
 }
 
-/// Is this error consistent with the server having silently closed a
-/// pooled connection while it sat idle? Only these justify the one-shot
-/// fresh-connection retry — anything else (timeout, HTTP status, protocol
-/// violation) is a real answer from a live server and must be surfaced.
-fn is_stale_conn_error(e: &HttpError) -> bool {
-    match e {
-        HttpError::Closed => true,
-        HttpError::Io(io) => matches!(
-            io.kind(),
-            std::io::ErrorKind::ConnectionReset
-                | std::io::ErrorKind::ConnectionAborted
-                | std::io::ErrorKind::BrokenPipe
-                | std::io::ErrorKind::UnexpectedEof
-        ),
-        _ => false,
-    }
-}
-
-/// A [`HttpLlmClient::roundtrip`] failure, tagged with whether any response
-/// byte had arrived first. The stale-socket retry is only legal while the
-/// response has *not* started: after that the server demonstrably processed
-/// the request, so replaying it would double-send — and a readable 429
-/// whose remainder got truncated must stay a 429, never a
-/// `http.conn_stale_retries` increment.
-struct RoundtripError {
-    error: HttpError,
-    response_started: bool,
-}
-
-impl RoundtripError {
-    fn before_response(error: HttpError) -> RoundtripError {
-        RoundtripError {
-            error,
-            response_started: false,
-        }
-    }
-
-    fn mid_response(error: HttpError) -> RoundtripError {
-        RoundtripError {
-            error,
-            response_started: true,
-        }
-    }
-}
-
 impl HttpLlmClient {
     /// Creates a client for a server address with default [`Timeouts`] and
     /// connection keep-alive enabled.
@@ -946,7 +816,7 @@ impl HttpLlmClient {
             let attempt = obs::span!("llm.attempt");
             attempt.annotate("conn", "reused");
             match self.roundtrip(stream, &request) {
-                Err(e) if !e.response_started && is_stale_conn_error(&e.error) => {
+                Err(e) if e.is_stale() => {
                     // The parked socket died while idle, before a single
                     // response byte. The request never reached the
                     // application layer, so retrying it on a fresh
@@ -956,181 +826,72 @@ impl HttpLlmClient {
                     attempt.annotate("stale", "true");
                     obs::count("http.conn_stale_retries", 1);
                 }
-                Err(e) => return Err(e.error),
-                Ok(done) => return Ok(done),
+                outcome => return completion_of(outcome),
             }
         }
         let attempt = obs::span!("llm.attempt");
         attempt.annotate("conn", "fresh");
         let stream = self.connect_fresh()?;
-        self.roundtrip(stream, &request).map_err(|e| e.error)
+        completion_of(self.roundtrip(stream, &request))
     }
 
-    /// One request/response exchange on `stream`. On success, a response
-    /// tagged `Connection: keep-alive` sends the socket back to the pool.
-    /// Failures carry whether the response had started (see
-    /// [`RoundtripError`]); only pre-response failures are stale-retryable.
-    fn roundtrip(&self, mut stream: TcpStream, request: &str) -> Result<String, RoundtripError> {
+    /// One request/response exchange on `stream`. A response tagged
+    /// `Connection: keep-alive` sends the socket back to the pool.
+    fn roundtrip(
+        &self,
+        mut stream: TcpStream,
+        request: &str,
+    ) -> Result<wire::Message, wire::Error> {
         let want_keep_alive = self.pool.is_some();
-        // Propagate the caller's trace so the server's handling span joins
-        // it instead of starting a disconnected one.
-        let trace_headers = match obs::current_context() {
-            Some(ctx) => format!(
-                "X-Nl2vis-Trace-Id: {}\r\nX-Nl2vis-Parent-Span: {}\r\n",
-                ctx.trace_header(),
-                ctx.parent_header()
-            ),
-            None => String::new(),
-        };
         // One buffered write for the whole request (see `respond` for the
-        // Nagle/delayed-ACK rationale).
-        let wire_request = format!(
-            "POST /v1/completions HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n{trace_headers}\r\n{request}",
+        // Nagle/delayed-ACK rationale). The caller's trace travels along,
+        // so the server's handling span joins it instead of starting a
+        // disconnected one.
+        let wire_request = wire::render_request(
+            "POST",
+            "/v1/completions",
             self.addr,
-            request.len(),
-            if want_keep_alive { "keep-alive" } else { "close" }
+            request,
+            want_keep_alive,
+            obs::current_context(),
         );
         stream
             .write_all(wire_request.as_bytes())
             .and_then(|()| stream.flush())
-            .map_err(|e| RoundtripError::before_response(e.into()))?;
-
+            .map_err(wire::Error::io)?;
         // Exactly one length-delimited response is outstanding, so a
         // temporary reader over a clone of the socket cannot buffer bytes
         // that a later request would need.
-        let mut reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| RoundtripError::before_response(e.into()))?,
-        );
-        let mut status_line = String::new();
-        match reader.read_line(&mut status_line) {
-            // Clean EOF before any response byte: the server (or an
-            // injected fault) dropped the connection.
-            Ok(0) => return Err(RoundtripError::before_response(HttpError::Closed)),
-            Ok(_) => {}
-            Err(e) => {
-                // A read error counts as pre-response only while the
-                // status line is still empty.
-                return Err(RoundtripError {
-                    response_started: !status_line.is_empty(),
-                    error: e.into(),
-                });
-            }
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                RoundtripError::mid_response(HttpError::Protocol(format!(
-                    "bad status line: {status_line}"
-                )))
-            })?;
-        self.read_response_rest(reader, stream, status)
-            .map_err(RoundtripError::mid_response)
-    }
-
-    /// Reads headers and body after a parsed status line, parks the socket
-    /// on keep-alive, and maps the status to the final result. The status
-    /// is authoritative from here: a 429 whose headers or body get
-    /// truncated still surfaces as [`HttpError::Overloaded`].
-    fn read_response_rest(
-        &self,
-        mut reader: BufReader<TcpStream>,
-        stream: TcpStream,
-        status: u16,
-    ) -> Result<String, HttpError> {
-        let want_keep_alive = self.pool.is_some();
-        let mut content_length: Option<usize> = None;
-        let mut server_keeps_alive = false;
-        let mut retry_after: Option<Duration> = None;
-        // The shed verdict is carried by the status line alone; the body
-        // and `Retry-After` are advisory. So a truncation below is reported
-        // as `Overloaded` when the status was 429.
-        let overloaded_or = |e: HttpError, retry_after: Option<Duration>| -> HttpError {
-            if status == 429 {
-                HttpError::Overloaded {
-                    retry_after,
-                    body: String::new(),
-                }
-            } else {
-                e
-            }
-        };
-        loop {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    return Err(overloaded_or(
-                        HttpError::Protocol("truncated response headers".to_string()),
-                        retry_after,
-                    ))
-                }
-                Ok(_) => {}
-                Err(e) => return Err(overloaded_or(e.into(), retry_after)),
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = header_value(line, "content-length") {
-                let parsed = v.parse::<usize>().map_err(|_| {
-                    HttpError::Protocol(format!("malformed response content-length: `{v}`"))
-                })?;
-                if content_length.is_some_and(|prev| prev != parsed) {
-                    // Two different lengths means we cannot know where this
-                    // response ends — the next response on the connection
-                    // would be misframed (the smuggling-shaped failure).
-                    return Err(HttpError::Protocol(
-                        "conflicting duplicate content-length headers".to_string(),
-                    ));
-                }
-                content_length = Some(parsed);
-            }
-            if let Some(v) = header_value(line, "connection") {
-                server_keeps_alive = connection_keeps_alive(v);
-            }
-            if let Some(v) = header_value(line, "retry-after") {
-                // Seconds, fractional allowed (see `render_response`); an
-                // unparseable value degrades to "no advertised backoff",
-                // never an error.
-                retry_after = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-                    .map(Duration::from_secs_f64);
-            }
-        }
-        let content_length = content_length.unwrap_or(0);
-        if content_length > MAX_BODY_BYTES {
-            return Err(HttpError::Protocol(format!(
-                "response body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-            )));
-        }
-        let mut body = vec![0u8; content_length];
-        if let Err(e) = reader.read_exact(&mut body) {
-            return Err(overloaded_or(e.into(), retry_after));
-        }
-        drop(reader);
-        let body = String::from_utf8_lossy(&body).to_string();
-        if want_keep_alive && server_keeps_alive {
+        let clone = stream.try_clone().map_err(wire::Error::io)?;
+        let response = wire::read_message(&mut BufReader::new(clone), wire::Kind::Response)?;
+        if want_keep_alive && response.head.keep_alive {
             self.park(stream);
         }
-        if status == 429 {
-            return Err(HttpError::Overloaded { retry_after, body });
-        }
-        if status != 200 {
-            return Err(HttpError::Status(status, body));
-        }
-        let json = Json::parse(&body).map_err(|e| HttpError::Protocol(format!("bad body: {e}")))?;
-        json.get("choices")
-            .and_then(|c| c.at(0))
-            .and_then(|c| c.get("text"))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| HttpError::Protocol("missing choices[0].text".to_string()))
+        Ok(response)
     }
+}
+
+/// Maps one exchange to the completion text.
+fn completion_of(outcome: Result<wire::Message, wire::Error>) -> Result<String, HttpError> {
+    let response = outcome?;
+    let body = response.text();
+    match response.head.status {
+        200 => {}
+        429 => {
+            return Err(HttpError::Overloaded {
+                retry_after: response.head.retry_after,
+                body,
+            })
+        }
+        status => return Err(HttpError::Status(status, body)),
+    }
+    let json = Json::parse(&body).map_err(|e| HttpError::Protocol(format!("bad body: {e}")))?;
+    json.get("choices")
+        .and_then(|c| c.at(0))
+        .and_then(|c| c.get("text"))
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| HttpError::Protocol("missing choices[0].text".to_string()))
 }
 
 impl LlmClient for HttpLlmClient {
@@ -1174,6 +935,7 @@ impl nl2vis_service::CompletionService for HttpLlmClient {
 mod tests {
     use super::*;
     use crate::profile::ModelProfile;
+    use std::io::{BufRead, Read};
 
     #[test]
     fn end_to_end_completion_over_http() {
@@ -1610,5 +1372,38 @@ mod tests {
             .read_to_string(&mut response)
             .unwrap();
         assert!(response.contains("gpt-3.5-turbo-16k"));
+    }
+
+    #[test]
+    fn endless_response_head_is_a_protocol_error_before_the_read_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            wire::read_message(&mut reader, wire::Kind::Request).unwrap();
+            // Header lines past the limit, and the socket left open: only
+            // the head bound can end the read before the deadline.
+            let mut head = b"HTTP/1.1 200 OK\r\n".to_vec();
+            while head.len() <= 2 * wire::MAX_HEADER_BYTES {
+                head.extend_from_slice(
+                    b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n",
+                );
+            }
+            let _ = stream.write_all(&head);
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let timeouts = Timeouts {
+            read: Duration::from_secs(10),
+            ..Timeouts::default()
+        };
+        let client = HttpLlmClient::with_timeouts(addr, "gpt-4", timeouts);
+        let started = Instant::now();
+        match client.complete_http("Q: hello\nVQL:") {
+            Err(HttpError::Protocol(message)) => assert!(message.contains("limit"), "{message}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(started.elapsed() < timeouts.read);
+        server.join().unwrap();
     }
 }

@@ -5,16 +5,14 @@
 //! real sockets.
 
 use nl2vis_llm::fault::{Fault, FaultInjector};
-use nl2vis_llm::http::{
-    connection_keeps_alive, header_value, CompletionServer, HttpError, HttpLlmClient, ServerConfig,
-    ServerTuning,
-};
+use nl2vis_llm::http::wire::{self, connection_keeps_alive, header_value};
+use nl2vis_llm::http::{CompletionServer, HttpError, HttpLlmClient, ServerConfig, ServerTuning};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs as obs;
 use nl2vis_obs::MetricsRegistry;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -28,36 +26,9 @@ const PROMPT: &str = "-- Test:\n-- Database:\nDatabase: d\nt = [ a , b ]\nQ: sha
 /// Reads exactly one `Content-Length`-framed response from a kept-alive
 /// socket (a plain `read_to_string` would block until the peer closes).
 fn read_one_response(reader: &mut BufReader<TcpStream>) -> (u16, bool, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or_else(|| panic!("bad status line `{status_line}`"))
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    let mut keep_alive = false;
-    loop {
-        let mut line = String::new();
-        assert!(
-            reader.read_line(&mut line).unwrap() > 0,
-            "truncated headers"
-        );
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = header_value(line, "content-length") {
-            content_length = v.parse().unwrap();
-        }
-        if let Some(v) = header_value(line, "connection") {
-            keep_alive = connection_keeps_alive(v);
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, keep_alive, String::from_utf8(body).unwrap())
+    let response = wire::read_message(reader, wire::Kind::Response).unwrap();
+    let text = String::from_utf8(response.body).unwrap();
+    (response.head.status, response.head.keep_alive, text)
 }
 
 /// A burst of identical completions against a single stalled worker must

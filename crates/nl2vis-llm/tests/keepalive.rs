@@ -7,7 +7,7 @@
 //! not a client-side guess.
 
 use nl2vis_llm::fault::{Fault, FaultInjector};
-use nl2vis_llm::http::{CompletionServer, HttpLlmClient};
+use nl2vis_llm::http::{wire, CompletionServer, HttpLlmClient};
 use nl2vis_llm::profile::ModelProfile;
 use nl2vis_llm::sim::SimLlm;
 use nl2vis_obs::MetricsRegistry;
@@ -117,7 +117,7 @@ fn first_request_drop_is_not_silently_retried() {
 
 #[test]
 fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufReader, Write};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     // A scripted raw server: request 1 gets a keep-alive 200 (so the
@@ -127,23 +127,7 @@ fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
     // replayed the shed request on a fresh connection, incrementing
     // `http.conn_stale_retries` for a 429 the server fully decided on.
     fn read_request(reader: &mut BufReader<std::net::TcpStream>) -> bool {
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return false;
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = nl2vis_llm::http::header_value(line, "content-length") {
-                content_length = v.parse().unwrap_or(0);
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).unwrap();
-        true
+        wire::read_message(reader, wire::Kind::Request).is_ok()
     }
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -208,35 +192,16 @@ fn truncated_429_on_reused_conn_is_overloaded_not_a_stale_retry() {
 /// Writes one `GET` with `Connection: keep-alive` on an existing socket
 /// and reads back exactly one length-delimited response.
 fn keep_alive_get(stream: &mut std::net::TcpStream, path: &str) -> (u16, String) {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::Write;
     write!(
         stream,
         "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n"
     )
     .unwrap();
     stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {status_line}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, String::from_utf8_lossy(&body).to_string())
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let response = wire::read_message(&mut reader, wire::Kind::Response).unwrap();
+    (response.head.status, response.text())
 }
 
 #[test]

@@ -194,32 +194,14 @@ fn retry_layer_recovers_from_shedding() {
 }
 
 /// Reads one length-delimited HTTP response off a raw socket reader;
-/// returns `(status, body)`, or `None` on EOF before a status line.
+/// returns `(status, body)`, or `None` when no whole response arrives.
 fn read_raw_response(
     reader: &mut std::io::BufReader<std::net::TcpStream>,
 ) -> Option<(u16, String)> {
-    use std::io::{BufRead, Read};
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line).ok()? == 0 {
-        return None;
-    }
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).ok()? == 0 {
-            return None;
-        }
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = nl2vis_llm::http::header_value(line.trim_end(), "content-length") {
-            content_length = v.parse().ok()?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some((status, String::from_utf8_lossy(&body).to_string()))
+    let response =
+        nl2vis_llm::http::wire::read_message(reader, nl2vis_llm::http::wire::Kind::Response)
+            .ok()?;
+    Some((response.head.status, response.text()))
 }
 
 fn raw_completion_request(prompt: &str) -> Vec<u8> {

@@ -10,7 +10,8 @@
 //! exactly once when a parked socket turns out to be stale.
 
 use nl2vis_data::Json;
-use std::io::{BufRead, BufReader, Read, Write};
+use nl2vis_llm::http::wire;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -46,14 +47,6 @@ pub struct LoadConn {
     addr: SocketAddr,
     model: String,
     stream: Option<TcpStream>,
-}
-
-enum WireError {
-    /// The reused socket died before delivering a status line — retryable
-    /// once on a fresh connection.
-    Stale,
-    /// A real failure.
-    Fatal(String),
 }
 
 impl LoadConn {
@@ -102,165 +95,61 @@ impl LoadConn {
         }
 
         let started = Instant::now();
-        match self.roundtrip(&body) {
-            Ok(outcome) => WireResult {
-                outcome,
-                connect_us,
-                serve_us: started.elapsed().as_micros() as u64,
-            },
-            Err(WireError::Stale) if reused => {
+        let outcome = match self.roundtrip(&body) {
+            Err(e) if e.is_stale() && reused => {
                 // The parked socket died while idle; the request never
                 // reached the server, so a single fresh-connection retry is
                 // safe. `self.stream` is already cleared.
-                self.request(prompt)
+                return self.request(prompt);
             }
-            Err(WireError::Stale) => WireResult {
-                outcome: Outcome::Error("connection closed before response".to_string()),
-                connect_us,
-                serve_us: started.elapsed().as_micros() as u64,
+            // Once the status line arrived the server *did* process the
+            // request: a 429 is a shed even if the rest of the response
+            // was cut off (admission control spoke; the body was only
+            // advisory).
+            Err(e) if e.status == Some(429) => Outcome::Shed,
+            Err(e) => Outcome::Error(e.to_string()),
+            Ok(response) => match response.head.status {
+                200 => Outcome::Ok,
+                429 => Outcome::Shed,
+                other => Outcome::Error(format!("http {other}: {}", response.text())),
             },
-            Err(WireError::Fatal(message)) => WireResult {
-                outcome: Outcome::Error(message),
-                connect_us,
-                serve_us: started.elapsed().as_micros() as u64,
-            },
+        };
+        WireResult {
+            outcome,
+            connect_us,
+            serve_us: started.elapsed().as_micros() as u64,
         }
     }
 
     /// One exchange on the live socket. On any error the socket is
-    /// dropped; on success it is kept only if the server said keep-alive.
-    fn roundtrip(&mut self, body: &str) -> Result<Outcome, WireError> {
+    /// dropped; on success it is kept only for a 200 the server said
+    /// keep-alive to.
+    fn roundtrip(&mut self, body: &str) -> Result<wire::Message, wire::Error> {
         let mut stream = self.stream.take().expect("live socket");
-        let fatal = |e: std::io::Error| WireError::Fatal(format!("io: {e}"));
         // One write syscall for the whole request: header-then-body writes
         // on a non-NODELAY path would hand Nagle a stall opportunity, and
-        // even with NODELAY two segments cost more than one.
-        let request = format!(
-            "POST /v1/completions HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-            self.addr,
-            body.len(),
-        );
+        // even with NODELAY two segments cost more than one. A write
+        // failing on a reused socket is the stale signature too (RST from
+        // a closed peer surfaces on write).
+        let request = wire::render_request("POST", "/v1/completions", self.addr, body, true, None);
         stream
             .write_all(request.as_bytes())
             .and_then(|_| stream.flush())
-            .map_err(|e| {
-                // A write failing on a reused socket is the stale signature too
-                // (RST from a closed peer surfaces on write).
-                if is_disconnect(&e) {
-                    WireError::Stale
-                } else {
-                    fatal(e)
-                }
-            })?;
-
-        let mut reader = BufReader::new(stream.try_clone().map_err(fatal)?);
-        let mut status_line = String::new();
-        // `Stale` (and the transparent retry it buys) is only safe while
-        // the response has not started: once any status-line byte arrived,
-        // the server *did* process the request, so replaying it would
-        // double-send — and a readable 429 would be retried instead of
-        // counted as the shed it is.
-        match reader.read_line(&mut status_line) {
-            Ok(0) => return Err(WireError::Stale),
-            Ok(_) => {}
-            Err(e) if is_disconnect(&e) && status_line.is_empty() => return Err(WireError::Stale),
-            Err(e) => return Err(fatal(e)),
+            .map_err(wire::Error::io)?;
+        let clone = stream.try_clone().map_err(wire::Error::io)?;
+        let response = wire::read_message(&mut BufReader::new(clone), wire::Kind::Response)?;
+        if response.head.keep_alive && response.head.status == 200 {
+            self.stream = Some(stream);
         }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| WireError::Fatal(format!("bad status line `{status_line}`")))?;
-
-        // Past this point the status is authoritative. If the connection
-        // dies mid-headers or mid-body, a 429 is still a shed (admission
-        // control spoke; the body was only advisory) — anything else is a
-        // fatal truncation. Never `Stale`.
-        match Self::read_rest(&mut reader) {
-            Ok((keep_alive, response)) => {
-                drop(reader);
-                if keep_alive && status == 200 {
-                    self.stream = Some(stream);
-                }
-                Ok(match status {
-                    200 => Outcome::Ok,
-                    429 => Outcome::Shed,
-                    other => Outcome::Error(format!(
-                        "http {other}: {}",
-                        String::from_utf8_lossy(&response)
-                    )),
-                })
-            }
-            Err(_) if status == 429 => Ok(Outcome::Shed),
-            Err(e) => Err(e),
-        }
+        Ok(response)
     }
-
-    /// Reads headers and body after the status line; returns
-    /// `(keep_alive, body)`.
-    fn read_rest(reader: &mut BufReader<TcpStream>) -> Result<(bool, Vec<u8>), WireError> {
-        let fatal = |e: std::io::Error| WireError::Fatal(format!("io: {e}"));
-        let mut content_length: Option<usize> = None;
-        let mut keep_alive = false;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).map_err(fatal)? == 0 {
-                return Err(WireError::Fatal("truncated headers".to_string()));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            // Shared header helpers: names match case-insensitively, values
-            // keep their bytes, and a `Connection:` token list is matched
-            // per token.
-            if let Some(v) = nl2vis_llm::http::header_value(line, "content-length") {
-                let parsed = v
-                    .parse::<usize>()
-                    .map_err(|_| WireError::Fatal(format!("bad content-length `{v}`")))?;
-                if content_length.is_some_and(|prev| prev != parsed) {
-                    return Err(WireError::Fatal(
-                        "conflicting duplicate content-length headers".to_string(),
-                    ));
-                }
-                content_length = Some(parsed);
-            }
-            if let Some(v) = nl2vis_llm::http::header_value(line, "connection") {
-                keep_alive = nl2vis_llm::http::connection_keeps_alive(v);
-            }
-        }
-        let content_length = content_length.unwrap_or(0);
-        let mut response = vec![0u8; content_length.min(nl2vis_llm::http::MAX_BODY_BYTES)];
-        reader.read_exact(&mut response).map_err(fatal)?;
-        Ok((keep_alive, response))
-    }
-}
-
-fn is_disconnect(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::UnexpectedEof
-    )
 }
 
 /// Fetches a debug endpoint (`/stats`, `/metrics`) from the server and
 /// returns the response body. Best-effort: any failure yields `None`.
 pub fn fetch(addr: SocketAddr, path: &str) -> Option<String> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).ok()?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\n\r\n"
-    )
-    .ok()?;
-    let mut response = String::new();
-    BufReader::new(stream).read_to_string(&mut response).ok()?;
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_string())
+    let response = wire::get(addr, path, Duration::from_secs(2)).ok()?;
+    Some(response.text())
 }
 
 #[cfg(test)]
@@ -299,26 +188,9 @@ mod tests {
         );
     }
 
-    /// Reads one HTTP request (headers + content-length body) off a raw
-    /// socket; returns false on EOF before any byte.
+    /// Reads one HTTP request off a raw socket; false when none arrives.
     fn read_request(reader: &mut BufReader<TcpStream>) -> bool {
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return false;
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = nl2vis_llm::http::header_value(line, "content-length") {
-                content_length = v.parse().unwrap_or(0);
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).unwrap();
-        true
+        wire::read_message(reader, wire::Kind::Request).is_ok()
     }
 
     /// The satellite regression: a 429 delivered on a *reused* connection —
@@ -379,5 +251,35 @@ mod tests {
             2,
             "the shed request must not be silently replayed on a fresh connection"
         );
+    }
+
+    /// A 200 declaring (and sending) a body past the limit is an error, not
+    /// a body cut down to the limit: the cut would leave the rest of it to
+    /// be read as the next response on the kept-alive connection.
+    #[test]
+    fn over_limit_body_is_an_error_not_a_truncation() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut stream = stream;
+            assert!(read_request(&mut reader));
+            let len = wire::MAX_BODY_BYTES + 1;
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {len}\r\nConnection: keep-alive\r\n\r\n"
+            );
+            // The client may hang up as soon as it sees the header.
+            let _ = stream
+                .write_all(head.as_bytes())
+                .and_then(|()| stream.write_all(&vec![b'x'; len]));
+        });
+        let mut conn = LoadConn::new(addr, "m");
+        let result = conn.request("p");
+        match &result.outcome {
+            Outcome::Error(message) => assert!(message.contains("limit"), "{message}"),
+            other => panic!("an over-limit body must be an error, got {other:?}"),
+        }
+        server.join().unwrap();
     }
 }

@@ -29,13 +29,14 @@
 //! reported in `partial`, never as a fan-out failure.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use nl2vis_data::Json;
+use nl2vis_llm::http::wire;
 use nl2vis_obs::slo::{evaluate_all, publish, SloSpec, SloStatus};
 use nl2vis_obs::snapshot::{HistSnapshot, Snapshot, FORMAT};
 use nl2vis_obs::{recorder, registry};
@@ -65,57 +66,10 @@ impl Default for FleetConfig {
 }
 
 /// One blocking `GET` against `addr`; returns `(status, body)` or a
-/// transport-level error string. `Connection: close`, like the health
-/// prober, so observer sockets never linger in replica keep-alive tables.
+/// transport-level error string. See [`wire::get`].
 pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| format!("socket: {e}"))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: fleet\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("write: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("read: {e}"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line `{}`", status_line.trim_end()))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read: {e}"))?
-            == 0
-        {
-            return Err("truncated headers".to_string());
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v.parse().unwrap_or(0);
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("read body: {e}"))?;
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
+    let response = wire::get(addr, path, timeout).map_err(|e| e.to_string())?;
+    Ok((response.head.status, response.text()))
 }
 
 fn u64_of(json: Option<&Json>) -> u64 {
@@ -766,41 +720,29 @@ impl Drop for FleetServer {
     }
 }
 
-/// Handles one `Connection: close` request on `stream`.
+/// Handles one `Connection: close` request on `stream`. A request that
+/// breaks the codec's rules — a head over [`wire::MAX_HEADER_BYTES`], a
+/// bad `Content-Length` — is answered with its 400 or 413.
 fn serve_connection(stream: TcpStream, observer: &FleetObserver) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).unwrap_or(0) == 0 {
+    let Ok(clone) = stream.try_clone() else {
         return;
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-    // Drain headers; the observer surface is GET-only, bodies ignored.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 || line.trim_end().is_empty() {
-            break;
-        }
-    }
-    let (status, body) = route_fleet(&method, &path, observer);
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        _ => "Error",
     };
+    let (status, body) = match wire::read_message(&mut BufReader::new(clone), wire::Kind::Request) {
+        Ok(request) => route_fleet(&request.head.method, &request.head.path, observer),
+        Err(wire::Error {
+            cause: wire::Cause::Malformed(bad),
+            ..
+        }) => (
+            bad.status,
+            Json::object(vec![("error", Json::from(bad.message.as_str()))]).to_compact(),
+        ),
+        Err(_) => return,
+    };
+    let response = wire::render_response(status, &body, "application/json", false, None);
     let mut stream = stream;
-    let _ = write!(
-        stream,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
+    let _ = stream.write_all(response.as_bytes());
 }
 
 /// Routes one observer request; exposed at crate level for direct tests.
@@ -1072,6 +1014,69 @@ mod tests {
         assert_eq!(
             tree[0].get("name").and_then(Json::as_str),
             Some("server.handle")
+        );
+    }
+
+    /// A one-shot fake replica: answers its first connection with `head`
+    /// followed by `body_len` bytes of body.
+    fn fake_replica(head: String, body_len: usize) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let _ = wire::read_message(&mut reader, wire::Kind::Request);
+            // The client may hang up as soon as it has read the head.
+            let _ = stream
+                .write_all(head.as_bytes())
+                .and_then(|()| stream.write_all(&vec![b'{'; body_len]));
+        });
+        addr
+    }
+
+    #[test]
+    fn http_get_rejects_unframeable_responses() {
+        let timeout = Duration::from_secs(5);
+        for (headers, body_len) in [
+            ("Content-Length: banana".to_string(), 2),
+            ("Content-Length: 2\r\nContent-Length: 1".to_string(), 2),
+            (
+                format!("Content-Length: {}", wire::MAX_BODY_BYTES + 1),
+                wire::MAX_BODY_BYTES + 1,
+            ),
+        ] {
+            let head = format!("HTTP/1.1 200 OK\r\n{headers}\r\nConnection: close\r\n\r\n");
+            let result = http_get(fake_replica(head, body_len), "/metrics.json", timeout);
+            assert!(result.is_err(), "{headers}: {result:?}");
+        }
+        let head = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n".to_string();
+        assert_eq!(
+            http_get(fake_replica(head, 2), "/stats", timeout),
+            Ok((200, "{{".to_string()))
+        );
+    }
+
+    #[test]
+    fn frontend_answers_an_oversized_header_block_with_400() {
+        let observer = FleetObserver::new(&[], FleetConfig::default());
+        let fleet = FleetServer::start(observer).unwrap();
+        let mut stream = TcpStream::connect(fleet.address()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // Exactly the limit with no blank line: the head can only end past
+        // it. (Sending more would leave unread bytes at the server's
+        // close, and a reset could discard the answer before it is read.)
+        let mut request = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        request.resize(wire::MAX_HEADER_BYTES, b'a');
+        stream.write_all(&request).unwrap();
+        let response = wire::read_message(&mut BufReader::new(stream), wire::Kind::Response)
+            .expect("a 400, not a silent close");
+        assert_eq!(response.head.status, 400, "{}", response.text());
+        assert!(
+            response.text().contains("header block"),
+            "{}",
+            response.text()
         );
     }
 }

@@ -22,36 +22,8 @@ use nl2vis_service::GenOptions;
 
 /// One `GET` over a throwaway connection; returns (status, body).
 fn raw_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    use std::io::{BufRead, BufReader, Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim_end().is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, String::from_utf8_lossy(&body).to_string())
+    let response = nl2vis_llm::http::wire::get(addr, path, Duration::from_secs(5)).unwrap();
+    (response.head.status, response.text())
 }
 
 #[test]
