@@ -2,7 +2,7 @@
 //! retrieval-based baseline (Seq2Vis, Transformer, ncNet, RGVisNet).
 
 use nl2vis_corpus::Corpus;
-use nl2vis_data::text::{jaccard_sets, words};
+use nl2vis_data::text::{top_k, words, SetIndex};
 use nl2vis_query::ast::VqlQuery;
 use std::collections::HashSet;
 
@@ -69,18 +69,20 @@ pub struct Entry {
     pub id: usize,
     /// The training question.
     pub nl: String,
-    /// Pre-tokenized question words (per the index's [`TokenMode`]).
-    pub tokens: HashSet<String>,
     /// The gold query.
     pub vql: VqlQuery,
     /// Database of the training example.
     pub db: String,
 }
 
-/// A token-set similarity index over the training split.
+/// A token-set similarity index over the training split: Jaccard
+/// similarity through a [`SetIndex`], ties broken by example id.
 #[derive(Debug, Clone)]
 pub struct RetrievalIndex {
+    /// Entries in id order, so a tie broken by position is broken by id.
     entries: Vec<Entry>,
+    /// Question token sets of `entries`, by position.
+    index: SetIndex,
     mode: TokenMode,
 }
 
@@ -92,18 +94,26 @@ impl RetrievalIndex {
 
     /// Builds an index with an explicit token mode.
     pub fn build_with(corpus: &Corpus, train_ids: &[usize], mode: TokenMode) -> RetrievalIndex {
-        let entries = train_ids
+        let mut examples: Vec<_> = train_ids
             .iter()
             .filter_map(|id| corpus.example(*id))
+            .collect();
+        examples.sort_by_key(|e| e.id);
+        let index = SetIndex::new(examples.iter().map(|e| tokenize(&e.nl, mode)));
+        let entries = examples
+            .into_iter()
             .map(|e| Entry {
                 id: e.id,
                 nl: e.nl.clone(),
-                tokens: tokenize(&e.nl, mode),
                 vql: e.vql.clone(),
                 db: e.db.clone(),
             })
             .collect();
-        RetrievalIndex { entries, mode }
+        RetrievalIndex {
+            entries,
+            index,
+            mode,
+        }
     }
 
     /// Number of indexed examples.
@@ -118,18 +128,11 @@ impl RetrievalIndex {
 
     /// The `k` most similar entries to the question, best first.
     pub fn top(&self, question: &str, k: usize) -> Vec<(f64, &Entry)> {
-        let q = tokenize(question, self.mode);
-        let mut scored: Vec<(f64, &Entry)> = self
-            .entries
-            .iter()
-            .map(|e| (jaccard_sets(&q, &e.tokens), e))
-            .collect();
-        // total_cmp, not partial_cmp-to-Equal: a comparator where NaN
-        // equals everything is not transitive, and sort_by may reorder
-        // well-behaved entries around it.
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
-        scored.truncate(k);
-        scored
+        let scores = self.index.scores(&tokenize(question, self.mode));
+        top_k(&scores, 0..scores.len(), k)
+            .into_iter()
+            .map(|i| (scores[i], &self.entries[i]))
+            .collect()
     }
 
     /// The single best entry, if any.
@@ -165,6 +168,8 @@ fn tokenize(text: &str, mode: TokenMode) -> HashSet<String> {
 mod tests {
     use super::*;
     use nl2vis_corpus::CorpusConfig;
+    use nl2vis_data::text::jaccard_sets;
+    use nl2vis_data::Rng;
 
     #[test]
     fn retrieves_self_with_score_one() {
@@ -187,6 +192,69 @@ mod tests {
         assert_eq!(top.len(), 5);
         for w in top.windows(2) {
             assert!(w[0].0 >= w[1].0);
+        }
+    }
+
+    /// The scan the index replaces: `jaccard_sets` against every entry's
+    /// token set, then a full sort by (score descending, id ascending).
+    fn reference_top(
+        c: &Corpus,
+        ids: &[usize],
+        mode: TokenMode,
+        q: &str,
+        k: usize,
+    ) -> Vec<(u64, usize)> {
+        let q = tokenize(q, mode);
+        let mut scored: Vec<(f64, usize)> = ids
+            .iter()
+            .filter_map(|id| c.example(*id))
+            .map(|e| (jaccard_sets(&q, &tokenize(&e.nl, mode)), e.id))
+            .collect();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        scored
+            .into_iter()
+            .take(k)
+            .map(|(s, id)| (s.to_bits(), id))
+            .collect()
+    }
+
+    #[test]
+    fn top_equals_the_reference_scan_under_ties() {
+        let mut c = Corpus::build(&CorpusConfig::small(31));
+        // Questions over a six-word vocabulary, so most scores tie.
+        let mut rng = Rng::new(0x7135);
+        let vocab = ["sales", "city", "year", "name", "7", "12"];
+        let phrase = |rng: &mut Rng| {
+            let len = rng.below_usize(4);
+            (0..len)
+                .map(|_| *rng.pick(&vocab))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        for e in &mut c.examples {
+            e.nl = phrase(&mut rng);
+        }
+        // Indexed out of id order: ties must still go to the lower id.
+        let mut ids: Vec<usize> = c.examples.iter().map(|e| e.id).collect();
+        rng.shuffle(&mut ids);
+        let n = ids.len();
+        for mode in [TokenMode::Raw, TokenMode::Content, TokenMode::Template] {
+            let index = RetrievalIndex::build_with(&c, &ids, mode);
+            for _ in 0..25 {
+                let q = phrase(&mut rng);
+                for k in [0, 1, 20, n, n + 5] {
+                    let got: Vec<(u64, usize)> = index
+                        .top(&q, k)
+                        .into_iter()
+                        .map(|(s, e)| (s.to_bits(), e.id))
+                        .collect();
+                    assert_eq!(
+                        got,
+                        reference_top(&c, &ids, mode, &q, k),
+                        "{mode:?} {q:?} k={k}"
+                    );
+                }
+            }
         }
     }
 

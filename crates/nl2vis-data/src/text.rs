@@ -1,9 +1,10 @@
 //! Text utilities shared by the demonstration selector and schema linkers:
 //! identifier tokenization, lowercase word extraction, and Jaccard
 //! similarity (the paper selects demonstration rows and examples by Jaccard
-//! similarity, §2.2.2 and §5.1.1).
+//! similarity, §2.2.2 and §5.1.1), pairwise or through a [`SetIndex`] over a
+//! whole pool.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Splits an identifier into lowercase word tokens: `snake_case`,
 /// `kebab-case`, `camelCase`, `PascalCase` and digit boundaries are all word
@@ -76,16 +77,114 @@ pub fn jaccard(a: &str, b: &str) -> f64 {
 
 /// Jaccard similarity of two pre-tokenized word sets.
 pub fn jaccard_sets(sa: &HashSet<String>, sb: &HashSet<String>) -> f64 {
-    if sa.is_empty() && sb.is_empty() {
+    jaccard_counts(sa.len(), sb.len(), sa.intersection(sb).count())
+}
+
+/// Jaccard similarity from set sizes and intersection size. [`jaccard_sets`]
+/// and [`SetIndex`] both score through it, so their scores agree bit for bit.
+fn jaccard_counts(a: usize, b: usize, inter: usize) -> f64 {
+    if a == 0 && b == 0 {
         return 1.0;
     }
-    let inter = sa.intersection(sb).count() as f64;
-    let union = (sa.len() + sb.len()) as f64 - inter;
+    let inter = inter as f64;
+    let union = (a + b) as f64 - inter;
     if union == 0.0 {
         1.0
     } else {
         inter / union
     }
+}
+
+/// An inverted index over word sets that scores a query set against every
+/// indexed set by Jaccard similarity.
+///
+/// Words are interned to `u32` ids, each with a postings list of the sets
+/// that contain it. A query counts its intersection with every set by
+/// walking only the postings of its own words, so its cost is one counter
+/// per indexed set plus one increment per (query word, set holding it) pair,
+/// not one hash-set intersection per set. Each score is then
+/// `inter / (|q| + |e| - inter)` from the same integer counts as
+/// [`jaccard_sets`], identical to it bit for bit; two empty sets score 1.0.
+#[derive(Debug, Clone, Default)]
+pub struct SetIndex {
+    /// Word → id.
+    vocab: HashMap<String, u32>,
+    /// Per word id, the positions of the sets holding the word, ascending.
+    postings: Vec<Vec<u32>>,
+    /// Per set, its number of distinct words.
+    sizes: Vec<u32>,
+}
+
+impl SetIndex {
+    /// Indexes `sets` in order; a set's position is its place in `sets`.
+    /// Repeated words within a set count once.
+    pub fn new<S, W>(sets: impl IntoIterator<Item = S>) -> SetIndex
+    where
+        S: IntoIterator<Item = W>,
+        W: AsRef<str>,
+    {
+        let mut index = SetIndex::default();
+        let mut ids = Vec::new();
+        for (pos, set) in sets.into_iter().enumerate() {
+            let pos = u32::try_from(pos).expect("fewer than 2^32 indexed sets");
+            ids.clear();
+            for w in set {
+                let w = w.as_ref();
+                let id = match index.vocab.get(w) {
+                    Some(id) => *id,
+                    None => {
+                        let id = u32::try_from(index.postings.len())
+                            .expect("fewer than 2^32 distinct words");
+                        index.vocab.insert(w.to_string(), id);
+                        index.postings.push(Vec::new());
+                        id
+                    }
+                };
+                ids.push(id);
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            for id in &ids {
+                index.postings[*id as usize].push(pos);
+            }
+            index.sizes.push(ids.len() as u32);
+        }
+        index
+    }
+
+    /// The Jaccard similarity of `query` to every indexed set, by position.
+    pub fn scores(&self, query: &HashSet<String>) -> Vec<f64> {
+        let mut inter = vec![0u32; self.sizes.len()];
+        for id in query.iter().filter_map(|w| self.vocab.get(w.as_str())) {
+            for pos in &self.postings[*id as usize] {
+                inter[*pos as usize] += 1;
+            }
+        }
+        inter
+            .iter()
+            .zip(&self.sizes)
+            .map(|(i, e)| jaccard_counts(query.len(), *e as usize, *i as usize))
+            .collect()
+    }
+}
+
+/// The `k` best of `candidates`, which are positions into `scores`, best
+/// first: score descending, ties by position ascending. The `k` are picked
+/// with `select_nth_unstable_by` and only they are sorted, so ranking `n`
+/// candidates costs O(n + k log k), not a full sort.
+pub fn top_k(scores: &[f64], candidates: impl IntoIterator<Item = usize>, k: usize) -> Vec<usize> {
+    // total_cmp keeps the comparator a total order even with a NaN score.
+    let best_first = |a: &usize, b: &usize| scores[*b].total_cmp(&scores[*a]).then(a.cmp(b));
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut picked: Vec<usize> = candidates.into_iter().collect();
+    if k < picked.len() {
+        picked.select_nth_unstable_by(k - 1, best_first);
+        picked.truncate(k);
+    }
+    picked.sort_unstable_by(best_first);
+    picked
 }
 
 /// Crude singularization for schema linking ("technicians" → "technician").
@@ -174,6 +273,59 @@ mod tests {
         assert_eq!(jaccard("", ""), 1.0);
         assert_eq!(jaccard("x", ""), 0.0);
         assert_eq!(jaccard("same words", "words same"), 1.0);
+    }
+
+    /// Random word sets over a vocabulary of `vocab` words, some empty.
+    fn random_sets(rng: &mut crate::Rng, n: usize, vocab: usize) -> Vec<HashSet<String>> {
+        (0..n)
+            .map(|_| {
+                let len = rng.below_usize(6);
+                (0..len)
+                    .map(|_| format!("w{}", rng.below_usize(vocab)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn set_index_scores_equal_jaccard_sets_bit_for_bit() {
+        let mut rng = crate::Rng::new(0x5E7);
+        for round in 0..40 {
+            let sets = random_sets(&mut rng, 1 + round * 3, 12);
+            let index = SetIndex::new(&sets);
+            let mut queries = random_sets(&mut rng, 10, 16);
+            // The empty query, and words no indexed set holds.
+            queries.push(HashSet::new());
+            queries.push(["w1", "zz", "yy"].map(String::from).into());
+            for q in &queries {
+                let got = index.scores(q);
+                let want: Vec<u64> = sets.iter().map(|e| jaccard_sets(q, e).to_bits()).collect();
+                assert_eq!(got.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), want);
+            }
+        }
+        // Two empty sets score 1.0, as jaccard_sets has it.
+        let index = SetIndex::new([Vec::<&str>::new(), vec!["a", "a"]]);
+        assert_eq!(index.scores(&HashSet::new()), vec![1.0, 0.0]);
+        assert_eq!(index.scores(&["a".to_string()].into()), vec![0.0, 1.0]);
+        let empty = SetIndex::new(Vec::<Vec<&str>>::new());
+        assert!(empty.scores(&["a".to_string()].into()).is_empty());
+    }
+
+    #[test]
+    fn top_k_equals_a_full_sort() {
+        let mut rng = crate::Rng::new(0x709);
+        for _ in 0..50 {
+            let n = rng.below_usize(30);
+            // Few distinct scores, so most comparisons are ties.
+            let scores: Vec<f64> = (0..n).map(|_| rng.below_usize(4) as f64 / 4.0).collect();
+            let candidates: Vec<usize> = (0..n).filter(|_| rng.chance(0.8)).collect();
+            let mut full = candidates.clone();
+            full.sort_by(|a, b| scores[*b].total_cmp(&scores[*a]).then(a.cmp(b)));
+            for k in [0, 1, 3, candidates.len(), candidates.len() + 5] {
+                let want: Vec<usize> = full.iter().copied().take(k).collect();
+                assert_eq!(top_k(&scores, candidates.iter().copied(), k), want);
+            }
+        }
     }
 
     #[test]

@@ -936,7 +936,7 @@ mod tests {
             ) -> nl2vis_llm::CompletionOutcome {
                 // Deterministic subset: panic whenever the prompt length is
                 // divisible by 3 (roughly a third of the examples).
-                if prompt.len() % 3 == 0 {
+                if prompt.len().is_multiple_of(3) {
                     panic!("simulated scoring crash");
                 }
                 self.inner.try_complete_with(prompt, opts)

@@ -311,7 +311,7 @@ mod tests {
         }
         // One metric present only sometimes, so merges see asymmetric
         // key sets.
-        if rng.next() % 2 == 0 {
+        if rng.next().is_multiple_of(2) {
             metrics.histogram("c.rare_us").record(rng.sample());
         }
         let mut snap = Snapshot::collect(&metrics, None);

@@ -5,7 +5,7 @@
 //! the demonstrations: `A` distinct databases × `B` examples per database.
 
 use nl2vis_corpus::Example;
-use nl2vis_data::text::{jaccard_sets, words};
+use nl2vis_data::text::{top_k, words, SetIndex};
 use nl2vis_data::Rng;
 use std::collections::{BTreeMap, HashSet};
 
@@ -61,11 +61,6 @@ const FILLER: &[&str] = &[
     "combined",
 ];
 
-/// Content-word Jaccard similarity between two questions.
-fn content_jaccard(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    jaccard_sets(a, b)
-}
-
 /// Extracts the content-word set of a question.
 fn content_set(text: &str) -> HashSet<String> {
     words(text)
@@ -74,75 +69,68 @@ fn content_set(text: &str) -> HashSet<String> {
         .collect()
 }
 
-/// Per-database accumulator: the best similarity score seen for the
-/// database plus every scored example in it.
-type DbSlots<'a> = BTreeMap<&'a str, (f64, Vec<(f64, &'a Example)>)>;
+/// An `exclude_id` no example has: the selection keeps the whole pool.
+const KEEP_ALL: usize = usize::MAX;
 
-/// A demonstration pool with precomputed content-word sets, so repeated
-/// selections over the same training split don't re-tokenize every example.
+/// A demonstration pool indexed once by content words, so repeated
+/// selections over the same training split neither re-tokenize nor
+/// intersect per-example sets. Every selector ranks examples by content-word
+/// Jaccard similarity (identical to [`jaccard_sets`]), ties by example id,
+/// and databases by their best example's score, ties by database name.
+///
+/// [`jaccard_sets`]: nl2vis_data::text::jaccard_sets
 pub struct DemoPool<'a> {
-    entries: Vec<(&'a Example, HashSet<String>)>,
+    /// Pooled examples in id order, so a tie broken by position is broken
+    /// by id.
+    examples: Vec<&'a Example>,
+    /// Content-word sets of `examples`, by position.
+    index: SetIndex,
+    /// Positions of each database's examples, databases in name order.
+    dbs: Vec<Vec<usize>>,
 }
 
 impl<'a> DemoPool<'a> {
     /// Builds the pool from candidate examples.
     pub fn new(pool: &[&'a Example]) -> DemoPool<'a> {
+        let mut examples = pool.to_vec();
+        examples.sort_by_key(|e| e.id);
+        let index = SetIndex::new(examples.iter().map(|e| content_set(&e.nl)));
+        let mut by_db: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, e) in examples.iter().enumerate() {
+            by_db.entry(e.db.as_str()).or_default().push(i);
+        }
         DemoPool {
-            entries: pool.iter().map(|e| (*e, content_set(&e.nl))).collect(),
+            dbs: by_db.into_values().collect(),
+            examples,
+            index,
         }
     }
 
     /// Number of pooled examples.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.examples.len()
     }
 
     /// Is the pool empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.examples.is_empty()
     }
 
     /// Top-`k` most similar demonstrations, excluding `exclude_id`.
     pub fn select_similar(&self, question: &str, k: usize, exclude_id: usize) -> Vec<&'a Example> {
-        let q = content_set(question);
-        let scored: Vec<(f64, &Example)> = self
-            .entries
-            .iter()
-            .filter(|(e, _)| e.id != exclude_id)
-            .map(|(e, set)| (content_jaccard(&q, set), *e))
-            .collect();
-        rank_scored(scored, k)
+        let scores = self.index.scores(&content_set(question));
+        let kept = (0..self.examples.len()).filter(|i| self.examples[*i].id != exclude_id);
+        self.picked(top_k(&scores, kept, k))
     }
 
-    /// All `k` demonstrations from the single most relevant database.
+    /// All `k` demonstrations from the single most relevant database,
+    /// excluding `exclude_id`.
     pub fn select_same_db(&self, question: &str, k: usize, exclude_id: usize) -> Vec<&'a Example> {
-        let q = content_set(question);
-        let mut best: Option<(&str, f64)> = None;
-        let mut by_db: BTreeMap<&str, Vec<(f64, &Example)>> = BTreeMap::new();
-        for (e, set) in &self.entries {
-            if e.id == exclude_id {
-                continue;
-            }
-            // Score once against the cached content set; the same score
-            // ranks databases *and* the examples inside the winning one —
-            // the whole point of pooling is to never re-tokenize.
-            let score = content_jaccard(&q, set);
-            by_db.entry(e.db.as_str()).or_default().push((score, e));
-            let beats = match best {
-                Some((_, b)) => score.total_cmp(&b).is_gt(),
-                None => true,
-            };
-            if beats {
-                best = Some((e.db.as_str(), score));
-            }
-        }
-        match best {
-            Some((db, _)) => rank_scored(by_db.remove(db).unwrap_or_default(), k),
-            None => Vec::new(),
-        }
+        self.select_grouped(question, 1, k, exclude_id)
     }
 
-    /// `dbs × per_db` demonstrations from distinct databases.
+    /// `dbs × per_db` demonstrations from distinct databases, excluding
+    /// `exclude_id`.
     pub fn select_grouped(
         &self,
         question: &str,
@@ -150,40 +138,27 @@ impl<'a> DemoPool<'a> {
         per_db: usize,
         exclude_id: usize,
     ) -> Vec<&'a Example> {
-        let q = content_set(question);
-        let mut by_db: DbSlots = BTreeMap::new();
-        for (e, set) in &self.entries {
-            if e.id == exclude_id {
-                continue;
-            }
-            let score = content_jaccard(&q, set);
-            let slot = by_db.entry(e.db.as_str()).or_insert((f64::MIN, Vec::new()));
-            if score.total_cmp(&slot.0).is_gt() {
-                slot.0 = score;
-            }
-            slot.1.push((score, e));
-        }
-        let mut ranked: Vec<(&str, f64)> = by_db.iter().map(|(db, (s, _))| (*db, *s)).collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-        let winners: Vec<&str> = ranked.into_iter().take(dbs).map(|(db, _)| db).collect();
-        let mut out = Vec::new();
-        for db in winners {
-            if let Some((_, scored)) = by_db.remove(db) {
-                out.extend(rank_scored(scored, per_db));
-            }
-        }
-        out
+        let scores = self.index.scores(&content_set(question));
+        let members = |db: usize| {
+            self.dbs[db]
+                .iter()
+                .copied()
+                .filter(move |i| self.examples[*i].id != exclude_id)
+        };
+        let best: Vec<f64> = (0..self.dbs.len())
+            .map(|db| members(db).map(|i| scores[i]).fold(f64::MIN, f64::max))
+            .collect();
+        let live = (0..self.dbs.len()).filter(|db| members(*db).next().is_some());
+        let picked = top_k(&best, live, dbs)
+            .into_iter()
+            .flat_map(|db| top_k(&scores, members(db), per_db))
+            .collect();
+        self.picked(picked)
     }
-}
 
-/// Sorts pre-scored demonstrations best-first (ties broken by example id,
-/// matching the unscored selectors) and returns the top `k`. `total_cmp`
-/// keeps the comparator a total order — a `partial_cmp`-to-`Equal`
-/// fallback makes NaN compare equal to *everything*, which violates sort's
-/// transitivity contract and can scramble an otherwise well-ordered list.
-fn rank_scored(mut scored: Vec<(f64, &Example)>, k: usize) -> Vec<&Example> {
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
-    scored.into_iter().take(k).map(|(_, e)| e).collect()
+    fn picked(&self, positions: Vec<usize>) -> Vec<&'a Example> {
+        positions.into_iter().map(|i| self.examples[i]).collect()
+    }
 }
 
 /// Selects up to `k` demonstrations from the pool, most Jaccard-similar to
@@ -193,12 +168,7 @@ pub fn select_by_similarity<'a>(
     question: &str,
     k: usize,
 ) -> Vec<&'a Example> {
-    let q = content_set(question);
-    let scored: Vec<(f64, &Example)> = pool
-        .iter()
-        .map(|e| (content_jaccard(&q, &content_set(&e.nl)), *e))
-        .collect();
-    rank_scored(scored, k)
+    DemoPool::new(pool).select_similar(question, k, KEEP_ALL)
 }
 
 /// Selects demonstrations restricted to one database: the pool database most
@@ -209,23 +179,7 @@ pub fn select_same_database<'a>(
     question: &str,
     k: usize,
 ) -> Vec<&'a Example> {
-    let by_db = group_by_db(pool);
-    let q = content_set(question);
-    // Rank databases by their best example similarity.
-    let mut best: Option<(&str, f64)> = None;
-    for (db, examples) in &by_db {
-        let score = examples
-            .iter()
-            .map(|e| content_jaccard(&q, &content_set(&e.nl)))
-            .fold(f64::MIN, f64::max);
-        if best.is_none() || score > best.unwrap().1 {
-            best = Some((db, score));
-        }
-    }
-    match best {
-        Some((db, _)) => select_by_similarity(&by_db[db], question, k),
-        None => Vec::new(),
-    }
+    DemoPool::new(pool).select_same_db(question, k, KEEP_ALL)
 }
 
 /// Selects `n_dbs × per_db` demonstrations from `n_dbs` distinct databases
@@ -238,24 +192,7 @@ pub fn select_grouped<'a>(
     n_dbs: usize,
     per_db: usize,
 ) -> Vec<&'a Example> {
-    let by_db = group_by_db(pool);
-    let q = content_set(question);
-    let mut ranked: Vec<(&str, f64)> = by_db
-        .iter()
-        .map(|(db, examples)| {
-            let score = examples
-                .iter()
-                .map(|e| content_jaccard(&q, &content_set(&e.nl)))
-                .fold(f64::MIN, f64::max);
-            (*db, score)
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-    let mut out = Vec::new();
-    for (db, _) in ranked.into_iter().take(n_dbs) {
-        out.extend(select_by_similarity(&by_db[db], question, per_db));
-    }
-    out
+    DemoPool::new(pool).select_grouped(question, n_dbs, per_db, KEEP_ALL)
 }
 
 /// Selects `k` random demonstrations (ablation baseline for the
@@ -265,19 +202,11 @@ pub fn select_random<'a>(pool: &[&'a Example], k: usize, rng: &mut Rng) -> Vec<&
     idx.into_iter().map(|i| pool[i]).collect()
 }
 
-fn group_by_db<'a>(pool: &[&'a Example]) -> BTreeMap<&'a str, Vec<&'a Example>> {
-    let mut map: BTreeMap<&str, Vec<&Example>> = BTreeMap::new();
-    for e in pool {
-        map.entry(e.db.as_str()).or_default().push(e);
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nl2vis_corpus::{Corpus, CorpusConfig};
-    use std::collections::HashSet;
+    use nl2vis_data::text::jaccard_sets;
 
     fn corpus() -> Corpus {
         Corpus::build(&CorpusConfig::small(11))
@@ -337,31 +266,111 @@ mod tests {
         assert_eq!(ids.len(), 5);
     }
 
-    /// The pooled selectors rank from cached content sets; they must pick
-    /// exactly what the tokenize-per-call free functions pick.
-    #[test]
-    fn pooled_selectors_match_free_functions() {
-        let c = corpus();
-        let pool_refs: Vec<&Example> = c.examples.iter().collect();
-        let pool = DemoPool::new(&pool_refs);
-        for probe in [&c.examples[0], &c.examples[7], &c.examples[13]] {
-            let ids = |v: Vec<&Example>| v.iter().map(|e| e.id).collect::<Vec<_>>();
-            // exclude_id past the corpus: the pooled methods exclude
-            // nothing, same as the free functions.
-            let none = usize::MAX;
-            assert_eq!(
-                ids(pool.select_similar(&probe.nl, 4, none)),
-                ids(select_by_similarity(&pool_refs, &probe.nl, 4)),
-            );
-            assert_eq!(
-                ids(pool.select_same_db(&probe.nl, 4, none)),
-                ids(select_same_database(&pool_refs, &probe.nl, 4)),
-            );
-            assert_eq!(
-                ids(pool.select_grouped(&probe.nl, 3, 2, none)),
-                ids(select_grouped(&pool_refs, &probe.nl, 3, 2)),
-            );
+    /// The scan the pool replaces: `jaccard_sets` against every candidate's
+    /// content set, then a full sort by (score descending, id ascending).
+    fn reference_ranking<'a>(
+        sets: &[(&'a Example, HashSet<String>)],
+        q: &str,
+    ) -> Vec<(f64, &'a Example)> {
+        let q = content_set(q);
+        let mut v: Vec<(f64, &Example)> = sets
+            .iter()
+            .map(|(e, set)| (jaccard_sets(&q, set), *e))
+            .collect();
+        v.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
+        v
+    }
+
+    /// The reference's `dbs × per_db` pick from a ranking: databases by
+    /// their best score, then by name.
+    fn reference_grouped(ranked: &[(f64, &Example)], dbs: usize, per_db: usize) -> Vec<usize> {
+        let mut best: BTreeMap<&str, f64> = BTreeMap::new();
+        for (s, e) in ranked {
+            best.entry(e.db.as_str()).or_insert(*s);
         }
+        let mut order: Vec<(&str, f64)> = best.into_iter().collect();
+        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
+        order
+            .into_iter()
+            .take(dbs)
+            .flat_map(|(db, _)| ranked.iter().filter(move |(_, e)| e.db == db).take(per_db))
+            .map(|(_, e)| e.id)
+            .collect()
+    }
+
+    fn ids(v: Vec<&Example>) -> Vec<usize> {
+        v.iter().map(|e| e.id).collect()
+    }
+
+    /// Every pooled selector picks what the reference scan picks, for every
+    /// probe, with the probe kept in the pool and left out; the free
+    /// functions, for every fiftieth probe.
+    #[test]
+    fn pooled_selectors_match_reference_scan() {
+        let c = corpus();
+        let mut pool_refs: Vec<&Example> = c.examples.iter().collect();
+        // Out of id order: ties must still go to the lower id.
+        Rng::new(0xDE40).shuffle(&mut pool_refs);
+        let pool = DemoPool::new(&pool_refs);
+        let sets: Vec<(&Example, HashSet<String>)> =
+            pool_refs.iter().map(|e| (*e, content_set(&e.nl))).collect();
+        for (n, probe) in c.examples.iter().enumerate() {
+            let q = probe.nl.as_str();
+            let everything = reference_ranking(&sets, q);
+            let top4 = |ranked: &[(f64, &Example)]| -> Vec<usize> {
+                ranked.iter().take(4).map(|(_, e)| e.id).collect()
+            };
+            for exclude in [KEEP_ALL, probe.id] {
+                let ranked: Vec<(f64, &Example)> = everything
+                    .iter()
+                    .copied()
+                    .filter(|(_, e)| e.id != exclude)
+                    .collect();
+                assert_eq!(ids(pool.select_similar(q, 4, exclude)), top4(&ranked));
+                assert_eq!(
+                    ids(pool.select_same_db(q, 4, exclude)),
+                    reference_grouped(&ranked, 1, 4)
+                );
+                assert_eq!(
+                    ids(pool.select_grouped(q, 3, 2, exclude)),
+                    reference_grouped(&ranked, 3, 2)
+                );
+            }
+            if n % 50 == 0 {
+                assert_eq!(
+                    ids(select_by_similarity(&pool_refs, q, 4)),
+                    top4(&everything)
+                );
+                assert_eq!(
+                    ids(select_same_database(&pool_refs, q, 4)),
+                    reference_grouped(&everything, 1, 4)
+                );
+                assert_eq!(
+                    ids(select_grouped(&pool_refs, q, 3, 2)),
+                    reference_grouped(&everything, 3, 2)
+                );
+            }
+        }
+    }
+
+    /// When two databases tie on their best score, the one first by name
+    /// supplies the demonstrations, whatever the pool order.
+    #[test]
+    fn same_db_ties_go_to_the_first_database_by_name() {
+        let c = corpus();
+        let mut a = c.examples[0].clone();
+        let mut b = c.examples.iter().find(|e| e.db != a.db).unwrap().clone();
+        (a.db, b.db) = ("a_db".into(), "b_db".into());
+        (a.nl, b.nl) = ("sales per city".into(), "sales per city".into());
+        // b comes first in the pool and by id.
+        (a.id, b.id) = (2, 1);
+        let pool_refs = [&b, &a];
+        let pool = DemoPool::new(&pool_refs);
+        assert_eq!(ids(pool.select_same_db("city sales", 4, KEEP_ALL)), vec![2]);
+        assert_eq!(
+            ids(select_same_database(&pool_refs, "city sales", 4)),
+            vec![2]
+        );
     }
 
     #[test]
